@@ -209,12 +209,22 @@ func (db *DB) Alias(newName, existing string) error {
 }
 
 // EnsureRowIDs returns a relation guaranteed to carry a unique integer
-// RowIDColumn. If the column exists it is validated for uniqueness;
-// otherwise a copy with an appended sequence column is returned.
+// RowIDColumn. If the column exists it must be of kind int with unique,
+// non-NULL int values (the merge tree keys on them as int64); otherwise
+// a copy with an appended sequence column is returned.
 func EnsureRowIDs(r *relation.Relation) (*relation.Relation, error) {
 	if idx, ok := r.Schema.Lookup(RowIDColumn); ok {
+		notInt := func(k relation.Kind) error {
+			return fmt.Errorf("core: relation %s has a %s %s; row IDs must be non-NULL ints", r.Name, k, RowIDColumn)
+		}
+		if k := r.Schema.Column(idx).Kind; k != relation.KindInt {
+			return nil, notInt(k)
+		}
 		seen := make(map[int64]bool, len(r.Tuples))
 		for _, t := range r.Tuples {
+			if k := t[idx].Kind(); k != relation.KindInt {
+				return nil, notInt(k)
+			}
 			id := t[idx].Int64()
 			if seen[id] {
 				return nil, fmt.Errorf("core: relation %s has duplicate %s %d", r.Name, RowIDColumn, id)

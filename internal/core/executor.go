@@ -86,6 +86,9 @@ type ExecResult struct {
 	// MergeWall is the measured wall-clock share of Wall spent in the
 	// final merge tree (modeled counterpart: MergeTime).
 	MergeWall time.Duration
+	// MergeFanout lists the row counts of every executed pair-merge, in
+	// step order, so a fanning-out intermediate shows in Report.
+	MergeFanout []MergeFanout
 
 	// plan is the executed plan, retained so Report can print planned
 	// vs. measured values side by side. Nil for hand-built results;
@@ -157,8 +160,10 @@ func (pj *PlannedJob) effectiveUnits() int {
 // error cancels the context and aborts the remaining jobs.
 //
 // Execution is deterministic for a fixed plan: job outputs and metrics
-// are collected by plan position, outputs merge in plan order, and
-// each mr.Run is itself deterministic — so the result relation and the
+// are collected by plan position, outputs merge along a fixed tree
+// (MergeAll repeatedly merges the pair sharing the most relations,
+// ties broken by combined cardinality, then by position), and each
+// mr.Run is itself deterministic — so the result relation and the
 // byte-level metrics are identical regardless of how the jobs
 // interleave on the wall clock.
 func (pl *Planner) ExecuteContext(ctx context.Context, plan *Plan, db *DB) (*ExecResult, error) {
@@ -461,7 +466,7 @@ func (pl *Planner) ExecuteContext(ctx context.Context, plan *Plan, db *DB) (*Exe
 	}
 	mergeStart := time.Now()
 	mergeSpan := execShard.Start("plan-merge", obs.A("inputs", len(mergeInputs)))
-	final, steps, err := mergeAll(plan.Query.Name, mergeInputs, execShard)
+	final, steps, fanout, err := mergeAll(plan.Query.Name, mergeInputs, execShard)
 	if err != nil {
 		mergeSpan.End(obs.A("error", err.Error()))
 		return nil, err
@@ -485,6 +490,7 @@ func (pl *Planner) ExecuteContext(ctx context.Context, plan *Plan, db *DB) (*Exe
 	sort.Strings(res.CheckpointRestored)
 	res.Output = final
 	res.MergeCount = len(steps)
+	res.MergeFanout = fanout
 	res.MergeTime = mergeTime
 	res.Makespan = sched.Makespan + mergeTime
 	res.Wall = time.Since(execStart)

@@ -70,6 +70,13 @@ func (r *ExecResult) Report() string {
 	}
 	fmt.Fprintf(&b, "  merge: %d steps, modeled %.1fs, measured %s\n",
 		r.MergeCount, r.MergeTime, fmtDur(r.MergeWall))
+	if len(r.MergeFanout) > 0 {
+		steps := make([]string, len(r.MergeFanout))
+		for i, f := range r.MergeFanout {
+			steps[i] = fmt.Sprintf("%s: %d⋈%d→%d", f.Step, f.LeftRows, f.RightRows, f.OutRows)
+		}
+		fmt.Fprintf(&b, "  merge rows: %s\n", strings.Join(steps, ", "))
+	}
 	fmt.Fprintf(&b, "  total shuffle: %s\n", fmtBytes(r.ShuffleBytes))
 	if r.SpillBytes > 0 || r.PeakLiveBytes > 0 {
 		fmt.Fprintf(&b, "  spill: %s in %d runs; peak live pair bytes: %s\n",
@@ -90,6 +97,14 @@ func (r *ExecResult) Report() string {
 	fmt.Fprintf(&b, "  makespan (MODELED cluster seconds): %.1f\n", r.Makespan)
 	fmt.Fprintf(&b, "  wall time (MEASURED on this machine): %s\n", fmtDur(r.Wall))
 	return b.String()
+}
+
+// MergeFanout is the row counts of one executed pair-merge: its step
+// name (the query name for the root), its operands' rows and its
+// output rows.
+type MergeFanout struct {
+	Step                         string
+	LeftRows, RightRows, OutRows int
 }
 
 // fmtDur prints a duration rounded to a readable precision.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -84,5 +85,43 @@ func TestReportWithoutPlan(t *testing.T) {
 	rep := res.Report()
 	if !strings.Contains(rep, "solo") || !strings.Contains(rep, "MODELED") {
 		t.Errorf("degraded report malformed:\n%s", rep)
+	}
+}
+
+// TestReportMergeFanout asserts that an executed multi-job plan records
+// every pair-merge's row counts, chained through the tree to the final
+// output, and that Report lists them.
+func TestReportMergeFanout(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	db := newTestDB(t, randRelation("A", 40, 6, rng), randRelation("B", 30, 6, rng),
+		randRelation("C", 30, 6, rng), randRelation("D", 20, 6, rng))
+	job := func(name, l, r string) PlannedJob {
+		return PlannedJob{Name: name, Conds: predicate.Conjunction{predicate.C(l, "a", predicate.EQ, r, "a")},
+			RelOrder: []string{l, r}, Kind: KindHashEqui, Reducers: 4, Units: 4}
+	}
+	plan := &Plan{Query: &query.Query{Name: "fan"}, Jobs: []PlannedJob{
+		job("fan-j1", "A", "B"), job("fan-j2", "B", "C"), job("fan-j3", "C", "D"),
+	}}
+	res, err := testPlanner(12).Execute(plan, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fan := res.MergeFanout
+	if len(fan) != res.MergeCount || len(fan) != 2 {
+		t.Fatalf("fan-out has %d steps, MergeCount %d, want 2", len(fan), res.MergeCount)
+	}
+	if fan[0].Step != "fan~m0" || fan[1].Step != "fan" {
+		t.Errorf("step names %q, %q; want fan~m0, fan", fan[0].Step, fan[1].Step)
+	}
+	// The first step's output is the root's right operand (merged
+	// nodes re-enter at the end of the work list).
+	if fan[1].RightRows != fan[0].OutRows || fan[1].OutRows != res.Output.Cardinality() {
+		t.Errorf("fan-out %+v does not chain to the %d output rows", fan, res.Output.Cardinality())
+	}
+	rep := res.Report()
+	for _, f := range fan {
+		if want := fmt.Sprintf("%s: %d⋈%d→%d", f.Step, f.LeftRows, f.RightRows, f.OutRows); !strings.Contains(rep, want) {
+			t.Errorf("report lacks %q:\n%s", want, rep)
+		}
 	}
 }
